@@ -131,56 +131,78 @@ void RunParallel(double scale, int reps) {
   }
 }
 
-// Fusion × governor consolidation: a selection/projection chain over the
-// name collection, compiled fused (one FusedPipeline_φ tuple loop) and
-// classic (one operator per node), with the resource governor fully armed —
-// active deadline plus memory accounting. At batch=1 the classic tree pays
-// the governor's cancellation/deadline check and the accounting round-trip
-// once per tuple *per chain operator*; the fused loop consolidates them to
-// one per pipeline iteration, which is the whole point of the batch=1 row.
-void RunFused(double scale, int reps) {
+// Fused chains under the resource governor (active deadline plus memory
+// accounting): a selection/projection chain over the name collection, and a
+// selection chain as the descendant input of a structural join. At budget 1
+// each chain is one FusedPipeline_φ tuple loop; at budget 4 the join fans
+// out under ExchangeMerge_φ and every worker runs its chain over its own
+// scan slice (FusedPipeline_φ[ParallelScan_φ(names i/4) -> Select_φ]).
+// Every configuration's result must equal the materializing evaluator's
+// ("legacy") before it is timed; a divergence fails the bench.
+int RunFused(double scale, int reps) {
   Pipeline p(scale);
   PlanPtr chain = LogicalPlan::Project(
       LogicalPlan::Select(
           LogicalPlan::Scan("names"),
           Predicate::NotNull("n_Val")),
       {"n_Val"}, /*dedup=*/false);
-  std::printf("\nfused vs classic chain under the governor (scale=%.2f)\n",
-              scale);
-  std::printf("%-20s %12s %12s %16s %10s\n", "config", "micros/run",
-              "out_tuples", "tuples/sec", "vs unfused");
-  for (size_t batch : {size_t{1}, size_t{1024}}) {
-    double unfused_us = 0;
-    for (bool fuse : {false, true}) {
+  PlanPtr join = LogicalPlan::StructuralJoin(
+      LogicalPlan::Scan("people"),
+      LogicalPlan::Select(LogicalPlan::Scan("names"),
+                          Predicate::NotNull("n_Val")),
+      "p_ID", Axis::kDescendant, "n_ID", JoinVariant::kInner);
+  struct Row {
+    const char* name;
+    PlanPtr plan;
+    size_t budget;
+  };
+  const Row kRows[] = {{"chain", chain, 1}, {"join", join, 1},
+                       {"join", join, 4}};
+  std::printf("\nfused chains under the governor (scale=%.2f)\n", scale);
+  std::printf("%-20s %12s %12s %16s\n", "config", "micros/run", "out_tuples",
+              "tuples/sec");
+  for (const Row& row : kRows) {
+    auto legacy = Evaluate(*row.plan, p.ctx);
+    if (!legacy.ok()) {
+      std::fprintf(stderr, "evaluate failed: %s\n",
+                   legacy.status().ToString().c_str());
+      return 1;
+    }
+    for (size_t batch : {size_t{1}, size_t{1024}}) {
       ExecContext exec(batch);
-      exec.set_fuse(fuse);
+      exec.set_thread_budget(row.budget);
       auto control = std::make_shared<QueryControl>();
       control->set_deadline_ns(QueryControl::NowNs() +
                                int64_t{3600} * 1'000'000'000);
       MemoryTracker mem("bench-fused", int64_t{4} << 30);
       exec.set_control(control);
       exec.set_memory_tracker(&mem);
-      auto root = CompilePhysicalPlan(chain, p.ctx, &exec);
+      auto root = CompilePhysicalPlan(row.plan, p.ctx, &exec);
       if (!root.ok()) {
         std::fprintf(stderr, "compile failed: %s\n",
                      root.status().ToString().c_str());
-        return;
+        return 1;
+      }
+      auto first = ExecutePhysical(root->get());
+      if (!first.ok() || !first->Equals(*legacy)) {
+        std::fprintf(stderr, "%s t=%zu b=%zu: result diverges from legacy\n",
+                     row.name, row.budget, batch);
+        return 1;
       }
       int64_t out = 0;
       double us = bench::AvgMicros(reps, [&] {
         auto rel = ExecutePhysical(root->get());
         out = rel.ok() ? (*rel).size() : -1;
       });
-      if (!fuse) unfused_us = us;
       char config[64];
-      std::snprintf(config, sizeof(config), "%-8s b=%zu",
-                    fuse ? "fused" : "unfused", batch);
-      std::printf("%-20s %12.1f %12lld %16.0f %9.2fx\n", config, us,
+      std::snprintf(config, sizeof(config), "%-6s t=%zu b=%zu", row.name,
+                    row.budget, batch);
+      std::printf("%-20s %12.1f %12lld %16.0f\n", config, us,
                   static_cast<long long>(out),
-                  us > 0 ? static_cast<double>(out) / (us / 1e6) : 0.0,
-                  !fuse ? 1.0 : (us > 0 ? unfused_us / us : 0.0));
+                  us > 0 ? static_cast<double>(out) / (us / 1e6) : 0.0);
     }
   }
+  return 0;
 }
 
 void ShowAnalyze(double scale) {
@@ -203,7 +225,7 @@ int main() {
   uload::Run(/*scale=*/0.5, /*reps=*/5);
   uload::Run(/*scale=*/2.0, /*reps=*/3);
   uload::RunParallel(/*scale=*/50.0, /*reps=*/3);
-  uload::RunFused(/*scale=*/20.0, /*reps=*/5);
+  if (uload::RunFused(/*scale=*/20.0, /*reps=*/5) != 0) return 1;
   uload::ShowAnalyze(/*scale=*/0.5);
   return 0;
 }

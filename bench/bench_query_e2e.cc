@@ -48,9 +48,9 @@ const QuerySpec kQueries[] = {
     // carries the text value, so the rewritten plan is a pure
     // scan → rename → select chain with no per-tuple navigation (the
     // predicate fuses INTO the scan loop), and the ~8% selectivity keeps
-    // serialization marginal. This is the shape where the classic tree's
-    // per-operator dispatch/accounting overhead dominates and fusion pays
-    // most — the fusion section's ≥2× bar is measured on this query.
+    // serialization marginal. This is the shape where per-operator
+    // dispatch/accounting overhead dominates and fusion pays most (E14's
+    // ≥2× fused-vs-classic bar was measured on this query).
     {"pricey_auctions",
      "for $x in doc(\"x\")//closed_auction/price where $x > 290 "
      "return <p>{$x/text()}</p>"},
@@ -198,25 +198,17 @@ int Run(double scale, int reps) {
   }
   std::printf("(* = default engine configuration)\n");
 
-  // Pipeline fusion (E14): the same rewritten queries with the fused
-  // compiler (default — maximal non-breaking chains run as one
-  // FusedPipeline_φ tuple loop, exec/fusion.h) against the classic
-  // one-operator-per-node tree (ExecContext::set_fuse(false)). Each row
-  // compiles its plan once and times execution of the physical tree — the
-  // component fusion changes; parse/rewrite/verify/compile are identical in
-  // both configurations and are measured by the sections above. The full
-  // end-to-end output is still produced once per configuration and checked
-  // byte-identical fused-vs-unfused before any timing is reported. batch=1
-  // is where fusion pays off most: the classic tree pays virtual dispatch,
-  // governor checks and batch allocation per tuple *per chain operator*, the
-  // fused loop pays them once per tuple for the whole chain. The governed
-  // rows are the serving-path configuration (active deadline + memory
-  // accounting, as the query service arms them): there the classic tree
-  // additionally pays the governor round-trip per operator, the fused loop
-  // once per pipeline iteration.
-  bench::Header("pipeline fusion: fused tuple loop vs classic operator tree");
-  std::printf("%-16s %-22s %12s %12s\n", "query", "config", "micros",
-              "vs unfused");
+  // Pipeline fusion (E14): execution of the once-compiled physical tree for
+  // the same rewritten queries, where maximal non-breaking chains run as one
+  // FusedPipeline_φ tuple loop (exec/fusion.h). Parse/rewrite/verify/compile
+  // are measured by the sections above. The full end-to-end output is
+  // produced once per configuration and checked byte-identical to the
+  // legacy materializing path before any timing is reported. batch=1 is
+  // where per-batch costs (dispatch, governor checks, batch allocation)
+  // show most. The governed rows are the serving-path configuration (active
+  // deadline + memory accounting, as the query service arms them).
+  bench::Header("pipeline fusion: fused tuple loop execution");
+  std::printf("%-16s %-22s %12s\n", "query", "config", "micros");
   struct FusionConfig {
     size_t batch;
     bool governed;
@@ -230,62 +222,53 @@ int Run(double scale, int reps) {
                    r.status().ToString().c_str());
       return 1;
     }
+    auto legacy_out = qr.ExecuteMaterialized(*r, &doc);
+    if (!legacy_out.ok()) {
+      std::fprintf(stderr, "%s: legacy: %s\n", q.name,
+                   legacy_out.status().ToString().c_str());
+      return 1;
+    }
     for (const FusionConfig& fc : kFusionConfigs) {
       const size_t batch = fc.batch;
-      double unfused_us = 0;
-      std::string unfused_out;
-      for (bool fuse : {false, true}) {
-        ExecContext exec(batch);
-        exec.set_thread_budget(1);
-        exec.set_fuse(fuse);
-        std::shared_ptr<QueryControl> control;
-        MemoryTracker mem("bench-fusion", int64_t{4} << 30);
-        if (fc.governed) {
-          control = std::make_shared<QueryControl>();
-          control->set_deadline_ns(QueryControl::NowNs() +
-                                   int64_t{3600} * 1'000'000'000);
-          exec.set_control(control);
-          exec.set_memory_tracker(&mem);
-        }
-        // End-to-end differential (untimed): the serialized answer must be
-        // byte-identical across fuse settings.
-        std::string out_str;
-        {
-          auto out = qr.Execute(*r, &doc, &exec);
-          if (out.ok()) out_str = std::move(*out);
-        }
-        if (!fuse) {
-          unfused_out = out_str;
-        } else if (out_str != unfused_out) {
-          std::fprintf(stderr, "%s: fused result diverges from unfused\n",
-                       q.name);
-          return 1;
-        }
-        // Timed region: execution of the once-compiled physical tree.
-        exec.ClearMetrics();
-        auto root = CompilePhysicalPlan(r->plan,
-                                        catalog.MakeEvalContext(&doc), &exec);
-        if (!root.ok()) {
-          std::fprintf(stderr, "%s: compile: %s\n", q.name,
-                       root.status().ToString().c_str());
-          return 1;
-        }
-        // Warm-up run (first execution touches cold pages), then average
-        // over 3× the section reps: execution-only timings are small enough
-        // that scheduler noise would otherwise dominate the ratio.
-        (void)ExecutePhysical(root->get());
-        double micros = bench::AvgMicros(reps * 3, [&] {
-          auto rel = ExecutePhysical(root->get());
-          if (!rel.ok()) std::fprintf(stderr, "%s: exec failed\n", q.name);
-        });
-        if (!fuse) unfused_us = micros;
-        char config[64];
-        std::snprintf(config, sizeof(config), "%-8s b=%zu%s",
-                      fuse ? "fused" : "unfused", batch,
-                      fc.governed ? " gov" : "");
-        std::printf("%-16s %-22s %12.1f %11.2fx\n", q.name, config, micros,
-                    !fuse ? 1.0 : (micros > 0 ? unfused_us / micros : 0.0));
+      ExecContext exec(batch);
+      exec.set_thread_budget(1);
+      std::shared_ptr<QueryControl> control;
+      MemoryTracker mem("bench-fusion", int64_t{4} << 30);
+      if (fc.governed) {
+        control = std::make_shared<QueryControl>();
+        control->set_deadline_ns(QueryControl::NowNs() +
+                                 int64_t{3600} * 1'000'000'000);
+        exec.set_control(control);
+        exec.set_memory_tracker(&mem);
       }
+      // End-to-end differential (untimed) against the legacy path.
+      auto out = qr.Execute(*r, &doc, &exec);
+      if (!out.ok() || *out != *legacy_out) {
+        std::fprintf(stderr, "%s: fused result diverges from legacy\n",
+                     q.name);
+        return 1;
+      }
+      // Timed region: execution of the once-compiled physical tree.
+      exec.ClearMetrics();
+      auto root = CompilePhysicalPlan(r->plan,
+                                      catalog.MakeEvalContext(&doc), &exec);
+      if (!root.ok()) {
+        std::fprintf(stderr, "%s: compile: %s\n", q.name,
+                     root.status().ToString().c_str());
+        return 1;
+      }
+      // Warm-up run (first execution touches cold pages), then average
+      // over 3× the section reps: execution-only timings are small enough
+      // that scheduler noise would otherwise dominate.
+      (void)ExecutePhysical(root->get());
+      double micros = bench::AvgMicros(reps * 3, [&] {
+        auto rel = ExecutePhysical(root->get());
+        if (!rel.ok()) std::fprintf(stderr, "%s: exec failed\n", q.name);
+      });
+      char config[64];
+      std::snprintf(config, sizeof(config), "fused b=%zu%s", batch,
+                    fc.governed ? " gov" : "");
+      std::printf("%-16s %-22s %12.1f\n", q.name, config, micros);
     }
   }
 

@@ -13,10 +13,10 @@
 #                                       # robustness under ASAN/UBSAN, the
 #                                       # engine/server torture under TSAN,
 #                                       # and a throughput-bench smoke run
-#   scripts/check.sh --fusion-sweep     # fused-pipeline suite + the fuse
-#                                       # grid dimensions under ASAN/UBSAN,
-#                                       # then the fused parallel/executor
-#                                       # tests under TSAN
+#   scripts/check.sh --fusion-sweep     # fused-pipeline suite + the
+#                                       # budget/batch/backend grids under
+#                                       # ASAN/UBSAN, then the fused
+#                                       # parallel/executor tests under TSAN
 #   scripts/check.sh --chaos-sweep      # resilience bar (DESIGN.md §13):
 #                                       # retry/ladder/reaper/chaos-proxy/
 #                                       # kill-restart suites in the normal
@@ -46,12 +46,14 @@
 # (zero races is the acceptance bar), and the closed-loop throughput bench
 # in --smoke mode, which also verifies every wire answer byte-identical to
 # the in-process run.
-# The fusion-sweep leg (DESIGN.md §11) covers pipeline fusion: the fusion
-# suite (golden plans, breaker taxonomy, fused-vs-classic differentials,
-# verifier obligations, fault sites inside fused loops) plus the grids that
-# carry a fuse dimension (parallel differential, backend differential, fault
-# sweep) under ASAN/UBSAN, and the fused executor/parallel tests under TSAN —
-# the fused tuple loop must stay race-free under the exchange pool.
+# The fusion-sweep leg (DESIGN.md §11) covers pipeline fusion, the only
+# implementation of the non-breaking operators: the fusion suite (golden
+# plans, breaker taxonomy, fused-vs-evaluator differentials, sliced sources
+# in exchange workers, verifier obligations, fault sites inside fused loops)
+# plus the grids that run fused plans across budgets, batch sizes and
+# backends (parallel differential, backend differential, fault sweep) under
+# ASAN/UBSAN, and the fused executor/parallel tests under TSAN — fused loops
+# run inside exchange workers and must stay race-free under the pool.
 # The backend-sweep leg (DESIGN.md §9) runs the storage-invariance bar under
 # ASAN/UBSAN: the pointer-vs-columnar differential grid (byte-identical
 # results across backends × batch sizes × thread budgets), the DocumentStore
@@ -167,7 +169,7 @@ if [[ "${1:-}" == "--chaos-sweep" ]]; then
 fi
 
 if [[ "${1:-}" == "--fusion-sweep" ]]; then
-  echo "== fusion suite + fuse-dimension grids under ASAN/UBSAN =="
+  echo "== fusion suite + budget/batch/backend grids under ASAN/UBSAN =="
   cmake -B build-asan -S . -DASAN=ON
   cmake --build build-asan -j
   ./build-asan/tests/uload_tests --gtest_filter="$FUSION_FILTER"

@@ -60,11 +60,9 @@ class Engine {
     // Fault injection for robustness testing (disabled by default); see
     // FaultSpec in exec/exec_context.h.
     FaultSpec fault;
-    // Pipeline fusion (exec/fusion.h): compile maximal non-breaking operator
-    // chains into single FusedPipeline_φ tuple loops. On by default; off
-    // compiles the classic one-operator-per-node tree. Differential tests
-    // flip this to bisect fused-vs-unfused divergences — results are
-    // byte-identical either way.
+    // Ignored: fused pipelines are the only compilation (exec/fusion.h).
+    // Kept only because xambench/traced.cc reads it, and xambench/ changes
+    // only together with the benchmark.
     bool fuse = true;
     RewriteOptions rewrite;
   };
@@ -194,7 +192,7 @@ class Engine {
   Result<Explanation> ServeOn(const std::string& query, Mode mode,
                               ExecContext* exec) const;
   // Installs the per-query state on `exec` (control with deadline, tracker,
-  // fault spec, batch size, thread budget, verify, fuse) and registers the
+  // fault spec, batch size, thread budget, verify) and registers the
   // control as in-flight. Returns the control for EndQuery.
   std::shared_ptr<QueryControl> BeginQuery(ExecContext* exec,
                                            MemoryTracker* query_mem,

@@ -1,7 +1,6 @@
 #include "exec/exec_context.h"
 
 #include <cstdio>
-#include <thread>
 
 namespace uload {
 namespace {
@@ -43,11 +42,6 @@ bool FaultSpec::ShouldFail(int op, const std::string& label, Site s,
   x ^= x >> 31;
   double u = static_cast<double>(x >> 11) * 0x1.0p-53;
   return u < random_prob;
-}
-
-size_t ExecContext::DefaultThreadBudget() {
-  unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<size_t>(n);
 }
 
 OperatorMetrics* ExecContext::Register(std::string label, int* ordinal) {

@@ -113,19 +113,17 @@ struct FaultSpec {
 class ExecContext {
  public:
   explicit ExecContext(size_t batch_size = TupleBatch::kDefaultCapacity)
-      : batch_size_(batch_size), thread_budget_(DefaultThreadBudget()) {}
-
-  // max(1, std::thread::hardware_concurrency()).
-  static size_t DefaultThreadBudget();
+      : batch_size_(batch_size) {}
 
   size_t batch_size() const { return batch_size_; }
   void set_batch_size(size_t n) { batch_size_ = n; }
 
   // Maximum number of worker threads the compiler may spend on Exchange
-  // operators. 1 disables intra-query parallelism entirely; the resulting
-  // execution is then bit-identical to the serial engine. Budgets > 1 stay
-  // deterministic wherever ExchangeMerge collects the workers (the compiler
-  // default); see exec/exchange.h.
+  // operators. 1 (the default, as in Engine::Options) disables intra-query
+  // parallelism entirely; the resulting execution is then bit-identical to
+  // the serial engine. Budgets > 1 stay deterministic wherever
+  // ExchangeMerge collects the workers (the compiler default); see
+  // exec/exchange.h.
   size_t thread_budget() const { return thread_budget_; }
   void set_thread_budget(size_t n) { thread_budget_ = n == 0 ? 1 : n; }
 
@@ -152,14 +150,10 @@ class ExecContext {
   bool validate_batches() const { return validate_batches_; }
   void set_validate_batches(bool v) { validate_batches_ = v; }
 
-  // Pipeline fusion (exec/fusion.h): when set (the default), the compiler
-  // collapses each maximal non-breaking operator chain — scans, Select,
-  // Project, Navigate, Rename, Retype — into one FusedPipeline_φ operator
-  // running a tuple loop with no intermediate batches. Off compiles the
-  // classic one-operator-per-node tree; differential tests flip this flag to
-  // bisect fused-vs-unfused divergences.
-  bool fuse() const { return fuse_; }
-  void set_fuse(bool v) { fuse_ = v; }
+  // Ignored: fused pipelines are the only compilation (exec/fusion.h). Kept
+  // only because xambench/traced.cc calls it, and xambench/ changes only
+  // together with the benchmark.
+  void set_fuse(bool) {}
 
   // --- Resource governor ----------------------------------------------------
 
@@ -197,7 +191,6 @@ class ExecContext {
     worker->set_control(control_);
     worker->set_memory_tracker(memory_tracker_);
     worker->set_fault(fault_);
-    worker->set_fuse(fuse_);
   }
 
   // Registers one operator and returns its stable counter slot. When
@@ -234,11 +227,10 @@ class ExecContext {
 
  private:
   size_t batch_size_;
-  size_t thread_budget_;
+  size_t thread_budget_ = 1;
   bool allow_unordered_root_ = false;
   bool verify_plans_ = true;
   bool validate_batches_ = kValidateBatchesDefault;
-  bool fuse_ = true;
   std::shared_ptr<QueryControl> control_ = std::make_shared<QueryControl>();
   MemoryTracker* memory_tracker_ = nullptr;
   FaultSpec fault_;

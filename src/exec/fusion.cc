@@ -182,9 +182,8 @@ void FusedPipelinePhys::CorruptStepSchemaForTesting(size_t i, SchemaPtr s) {
 
 OrderDescriptor FusedPipelinePhys::PropagateStepOrder(
     const StepView& s, const OrderDescriptor& in) {
-  // These are exactly the elided operators' ProvableOrder() rules; keeping
-  // them byte-equal is what lets the verifier prove fusion a no-op on order
-  // descriptors.
+  // The verifier replays these rules step by step from the source order to
+  // prove fusion a no-op on order descriptors.
   switch (s.kind) {
     case StepKind::kSelect:
       return in;
@@ -423,12 +422,12 @@ Status FusedPipelinePhys::CheckMemberFaults(FaultSpec::Site site) {
 }
 
 Status FusedPipelinePhys::OpenImpl() {
-  // Interior fault sites first: a member the sweep addresses must fail here
-  // exactly as its standalone operator would have failed at Open().
+  // Interior fault sites first: a member the sweep addresses fails at
+  // Open(), whether or not it is the pipeline's first member.
   ULOAD_RETURN_NOT_OK(CheckMemberFaults(FaultSpec::Site::kOpen));
   pending_.clear();
   ticks_ = 0;
-  spos_ = 0;
+  spos_ = src_begin_;
   cpos_ = 0;
   src_batch_.reset();
   src_batch_pos_ = 0;
@@ -455,7 +454,7 @@ Status FusedPipelinePhys::OpenImpl() {
   }
   switch (src_kind_) {
     case SourceKind::kColumnar:
-      src_reader_->DecodeSlice(0, 1, &crows_);
+      src_reader_->DecodeSlice(src_part_, src_nparts_, &crows_);
       return ChargeMemory(
           static_cast<int64_t>(crows_.size() * sizeof(NodeIndex)));
     case SourceKind::kOperator:
@@ -468,7 +467,7 @@ Status FusedPipelinePhys::OpenImpl() {
 const Tuple* FusedPipelinePhys::PeekSourceTuple() const {
   switch (src_kind_) {
     case SourceKind::kRelation:
-      return spos_ < src_rel_->size() ? &src_rel_->tuple(spos_) : nullptr;
+      return spos_ < src_end_ ? &src_rel_->tuple(spos_) : nullptr;
     case SourceKind::kOwned:
       return spos_ < src_owned_.size() ? &src_owned_.tuple(spos_) : nullptr;
     case SourceKind::kRows:
@@ -483,7 +482,7 @@ const Tuple* FusedPipelinePhys::PeekSourceTuple() const {
 Result<std::optional<Tuple>> FusedPipelinePhys::NextSourceTuple() {
   switch (src_kind_) {
     case SourceKind::kRelation:
-      if (spos_ >= src_rel_->size()) return std::optional<Tuple>();
+      if (spos_ >= src_end_) return std::optional<Tuple>();
       return std::optional<Tuple>(src_rel_->tuple(spos_++));
     case SourceKind::kOwned:
       if (spos_ >= src_owned_.size()) return std::optional<Tuple>();
@@ -627,9 +626,15 @@ FusedPipelineBuilder::FusedPipelineBuilder()
 FusedPipelineBuilder::~FusedPipelineBuilder() = default;
 
 void FusedPipelineBuilder::SourceRelation(const NestedRelation* rel,
-                                          std::string label) {
+                                          std::string label, size_t part,
+                                          size_t nparts) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kRelation;
   op_->src_rel_ = rel;
+  op_->src_part_ = part;
+  op_->src_nparts_ = nparts;
+  const size_t n = static_cast<size_t>(rel->size());
+  op_->src_begin_ = static_cast<int64_t>(part * n / nparts);
+  op_->src_end_ = static_cast<int64_t>((part + 1) * n / nparts);
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
   op_->src_schema_ = rel->schema_ptr();
@@ -661,9 +666,12 @@ void FusedPipelineBuilder::SourceRows(const NestedRelation* data,
 }
 
 void FusedPipelineBuilder::SourceColumnar(const MaterializedView* view,
-                                          std::string label) {
+                                          std::string label, size_t part,
+                                          size_t nparts) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kColumnar;
   op_->src_reader_ = std::make_unique<ColumnarRowReader>(view);
+  op_->src_part_ = part;
+  op_->src_nparts_ = nparts;
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
   op_->src_schema_ = op_->src_reader_->schema();
@@ -676,13 +684,6 @@ void FusedPipelineBuilder::SourceOperator(PhysicalPtr op) {
   op_->src_schema_ = op->schema();
   op_->src_op_ = std::move(op);
   has_source_ = true;
-}
-
-size_t FusedPipelineBuilder::step_count() const { return op_->steps_.size(); }
-
-bool FusedPipelineBuilder::has_inline_source() const {
-  return has_source_ &&
-         op_->src_kind_ != FusedPipelinePhys::SourceKind::kOperator;
 }
 
 const SchemaPtr& FusedPipelineBuilder::current_schema() const {
@@ -720,9 +721,8 @@ Status FusedPipelineBuilder::AddNavigate(const LogicalPlan* plan,
   s.kind = FusedPipelinePhys::StepKind::kNavigate;
   s.in_schema = current_schema();
   s.nav = std::make_unique<NavigationCore>(plan, doc);
-  // Same static bind the standalone operator performs at Open(): fail the
-  // build (and fall back to the unfused operator's diagnostics) rather than
-  // fuse a chain that cannot run.
+  // Bind statically so a chain that cannot run (no document, nested source
+  // attribute) fails compilation rather than Open().
   ULOAD_RETURN_NOT_OK(s.nav->BindInput(*s.in_schema));
   s.out_schema = JoinOutputSchema(
       *s.in_schema, *s.nav->emit_schema(), plan->variant(),

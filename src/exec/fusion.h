@@ -6,11 +6,12 @@
 // The compiler (exec/physical.cc) splits a plan at pipeline *breakers* —
 // Sort_φ, hash-join builds, StackTree buffering, Product/Union fan-in,
 // exchange boundaries — and collapses each maximal chain of non-breaking
-// operators (Scan/IndexScan/ColumnarScan/Unit sources, Select, Project,
-// Navigate, Rename, Retype) into a single FusedPipeline_φ. The fused
-// operator pulls source tuples from an inline cursor (materialized rows,
-// index row-id lists, columnar row sets) or from a child operator, and pushes
-// each tuple through the chain's steps in one loop: no intermediate
+// operators (Scan/IndexScan/ColumnarScan/Unit sources, partitioned scan
+// slices included, then Select, Project, Navigate, Rename, Retype) into a
+// single FusedPipeline_φ, the only implementation of those five operators.
+// The fused operator pulls source tuples from an inline cursor (materialized
+// rows, index row-id lists, columnar row sets) or from a child operator, and
+// pushes each tuple through the chain's steps in one loop: no intermediate
 // TupleBatch is materialized, no virtual NextBatch() boundary is crossed, and
 // the governor's cancel/deadline/memory checks run once per pipeline
 // iteration instead of once per elided operator.
@@ -50,12 +51,10 @@ namespace uload {
 class MaterializedView;   // storage/store.h
 class ColumnarRowReader;  // storage/virtual_scan.h
 
-// The document-navigation kernel shared by the standalone Navigate_φ
-// operator and the fused Navigate step: resolves the source identifier to a
-// store node, walks the navigation steps (child/descendant axes), and
-// applies the join variant (inner/semi/outer/nest) to produce output tuples.
-// Extracted so fused and unfused execution are the same code — differential
-// equality by construction.
+// The document-navigation kernel of the fused Navigate step (there is no
+// standalone Navigate_φ operator): resolves the source identifier to a store
+// node, walks the navigation steps (child/descendant axes), and applies the
+// join variant (inner/semi/outer/nest) to produce output tuples.
 class NavigationCore {
  public:
   NavigationCore(const LogicalPlan* plan, const DocumentStore* doc);
@@ -65,8 +64,7 @@ class NavigationCore {
   const SchemaPtr& emit_schema() const { return emit_schema_; }
 
   // Resolves the navigation source attribute against `input`. Fails when no
-  // document is attached or the source attribute is nested — the same
-  // errors (verbatim) the standalone operator reports at Open().
+  // document is attached or the source attribute is nested.
   Status BindInput(const Schema& input);
 
   // Expands one input tuple into zero or more output tuples, appended to
@@ -126,14 +124,16 @@ class FusedPipelinePhys final : public PhysicalOperator {
   size_t step_count() const { return steps_.size(); }
   StepView step(size_t i) const;
   SourceKind source_kind() const { return src_kind_; }
+  // Number of slices the inline source's scan is partitioned into; above 1
+  // the pipeline reads one slice and belongs inside an exchange worker.
+  size_t source_nparts() const { return src_nparts_; }
   const SchemaPtr& source_schema() const { return src_schema_; }
   const OrderDescriptor& source_order() const;
   std::string source_label() const { return src_label_; }
   PhysicalOperator* source_operator() const { return src_op_.get(); }
 
-  // Order propagation across one fused step (forward direction): the same
-  // rule the elided operator's ProvableOrder() implemented. Shared by the
-  // fused operator and the plan verifier.
+  // Order propagation across one fused step (forward direction). Shared by
+  // the fused operator and the plan verifier.
   static OrderDescriptor PropagateStepOrder(const StepView& s,
                                             const OrderDescriptor& in);
 
@@ -213,6 +213,11 @@ class FusedPipelinePhys final : public PhysicalOperator {
   SchemaPtr src_schema_;
   OrderDescriptor src_order_;  // inline sources only; kOperator asks the op
   Member src_member_;          // inline sources only
+  // Slice of a partitioned scan (kRelation / kColumnar); 0 of 1 = all rows.
+  size_t src_part_ = 0;
+  size_t src_nparts_ = 1;
+  int64_t src_begin_ = 0;                      // kRelation slice bounds
+  int64_t src_end_ = 0;
   const NestedRelation* src_rel_ = nullptr;    // kRelation / kRows
   NestedRelation src_owned_;                   // kOwned
   std::vector<int64_t> src_rows_;              // kRows
@@ -232,28 +237,31 @@ class FusedPipelinePhys final : public PhysicalOperator {
   // metadata-only (kRename/kRetype — positional fields untouched) and the
   // source is relation-backed; -1 otherwise. The hot loop then evaluates
   // the predicate against the relation-resident tuple and copies only
-  // survivors — a fusion-only saving the classic tree cannot make, since
-  // its Scan must materialize every tuple into a batch before Select_φ
-  // sees it. Member counters are bumped exactly as the unfused tree would.
+  // survivors. Member counters are bumped exactly as the copying path bumps
+  // them.
   int prefilter_step_ = -1;
 };
 
 // Assembles a FusedPipelinePhys bottom-up: one source, then steps in
-// execution order. Each Add* derives the step's output schema with the same
-// shared derivation the standalone operator uses (exec/plan_schemas.h) and
-// fails with the operator's original diagnostics on type errors.
+// execution order. Each Add* derives the step's output schema with the
+// shared derivations of exec/plan_schemas.h and fails on type errors.
 class FusedPipelineBuilder {
  public:
   FusedPipelineBuilder();
   ~FusedPipelineBuilder();
 
-  // Exactly one source, set before any step.
-  void SourceRelation(const NestedRelation* rel, std::string label);
+  // Exactly one source, set before any step. A relation or columnar source
+  // given a slice reads only rows [part·n/nparts, (part+1)·n/nparts) — the
+  // ParallelScan_φ partitioning, so worker streams stay disjoint and locally
+  // ordered.
+  void SourceRelation(const NestedRelation* rel, std::string label,
+                      size_t part = 0, size_t nparts = 1);
   void SourceOwnedRelation(NestedRelation rel, std::string label,
                            OrderDescriptor order = OrderDescriptor());
   void SourceRows(const NestedRelation* data, std::vector<int64_t> rows,
                   std::string label);
-  void SourceColumnar(const MaterializedView* view, std::string label);
+  void SourceColumnar(const MaterializedView* view, std::string label,
+                      size_t part = 0, size_t nparts = 1);
   void SourceOperator(PhysicalPtr op);
 
   Status AddSelect(PredicatePtr pred);
@@ -262,13 +270,10 @@ class FusedPipelineBuilder {
   Status AddRename(std::string prefix);
   Status AddRetype(SchemaPtr schema);
 
-  size_t step_count() const;
-  bool has_inline_source() const;
   const SchemaPtr& current_schema() const;
 
   // Finalizes the pipeline. Fails when no source was set or the chain has no
-  // steps (a bare source gains nothing from fusion and keeps its specialized
-  // operator).
+  // steps (a bare source keeps its scan operator).
   Result<PhysicalPtr> Build();
 
  private:

@@ -344,63 +344,14 @@ class IndexScanPhys : public PhysBase {
   size_t pos_ = 0;
 };
 
-// --- σ_φ ---------------------------------------------------------------------
+// --- π0_φ (duplicate-eliminating projection) ---------------------------------
 
-class SelectPhys : public PhysBase {
- public:
-  SelectPhys(PhysicalPtr input, PredicatePtr pred)
-      : input_(std::move(input)), pred_(std::move(pred)) {
-    schema_ = input_->schema();
-    order_ = input_->order();
-  }
-  std::string label() const override {
-    return "Select_phi[" + pred_->ToString() + "]";
-  }
-  std::vector<PhysicalOperator*> children() const override {
-    return {input_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kSelect; }
-  // A filter passes tuples through unchanged, so its provable order is
-  // exactly its input's.
-  OrderDescriptor ProvableOrder() const override { return input_->order(); }
-  // A filter preserves its input's order, so whatever order the input can
-  // prove, the selection inherits.
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    if (!input_->TryAdoptOrder(order)) return false;
-    order_ = input_->order();
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override { return input_->Open(); }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    // Vectorized filter: keep pulling input batches until one survives.
-    for (;;) {
-      ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> in,
-                             input_->NextBatch());
-      if (!in.has_value()) return std::optional<TupleBatch>();
-      TupleBatch out = NewBatch();
-      for (Tuple& t : in->tuples()) {
-        ULOAD_ASSIGN_OR_RETURN(bool keep, pred_->Eval(*schema_, t));
-        if (keep) out.Add(std::move(t));
-      }
-      if (!out.empty()) return std::optional<TupleBatch>(std::move(out));
-    }
-  }
-  void CloseImpl() override { input_->Close(); }
-
- private:
-  PhysicalPtr input_;
-  PredicatePtr pred_;
-};
-
-// --- π_φ ---------------------------------------------------------------------
-
+// First-wins dedup buffers a seen-set over the whole stream, so it breaks the
+// pipeline; plain projection runs as a fused step (exec/fusion.h).
 class ProjectPhys : public PhysBase {
  public:
   static Result<PhysicalPtr> Make(PhysicalPtr input,
-                                  std::vector<std::string> attrs,
-                                  bool dedup) {
+                                  std::vector<std::string> attrs) {
     auto p = std::unique_ptr<ProjectPhys>(new ProjectPhys());
     ULOAD_ASSIGN_OR_RETURN(p->proj_,
                            TupleProjector::Make(*input->schema(), attrs));
@@ -412,12 +363,9 @@ class ProjectPhys : public PhysBase {
     }
     p->order_ = OrderDescriptor(std::move(kept));
     p->input_ = std::move(input);
-    p->dedup_ = dedup;
     return PhysicalPtr(std::move(p));
   }
-  std::string label() const override {
-    return dedup_ ? "Project0_phi" : "Project_phi";
-  }
+  std::string label() const override { return "Project0_phi"; }
   std::vector<PhysicalOperator*> children() const override {
     return {input_.get()};
   }
@@ -434,7 +382,7 @@ class ProjectPhys : public PhysBase {
   }
   // Duplicate elimination keeps the first occurrence, so the output depends
   // on the input arriving in a deterministic order.
-  bool OrderSensitive() const override { return dedup_; }
+  bool OrderSensitive() const override { return true; }
   // A projection preserves tuple order; the input's order survives for the
   // longest key prefix whose attributes are all retained (names unchanged).
   bool TryAdoptOrder(const OrderDescriptor& order) override {
@@ -463,13 +411,11 @@ class ProjectPhys : public PhysBase {
         // The input batch is exclusively ours, so steal the kept fields
         // instead of deep-copying them.
         Tuple projected = proj_->Apply(std::move(t));
-        if (dedup_) {
-          std::string key = TupleToString(projected);
-          int64_t key_bytes =
-              static_cast<int64_t>(sizeof(std::string) + key.capacity() + 48);
-          if (!seen_.insert(std::move(key)).second) continue;
-          added_bytes += key_bytes;
-        }
+        std::string key = TupleToString(projected);
+        int64_t key_bytes =
+            static_cast<int64_t>(sizeof(std::string) + key.capacity() + 48);
+        if (!seen_.insert(std::move(key)).second) continue;
+        added_bytes += key_bytes;
         out.Add(std::move(projected));
       }
       // The dedup set grows monotonically; charge its growth per input batch
@@ -484,7 +430,6 @@ class ProjectPhys : public PhysBase {
   ProjectPhys() = default;
   PhysicalPtr input_;
   std::optional<TupleProjector> proj_;
-  bool dedup_ = false;
   std::set<std::string> seen_;
 };
 
@@ -1203,215 +1148,14 @@ class UnionPhys : public PhysBase {
   bool on_right_ = false;
 };
 
-// --- Navigate ---------------------------------------------------------------
-
-class NavigatePhys : public PhysBase {
- public:
-  NavigatePhys(PhysicalPtr input, const LogicalPlan* plan,
-               const DocumentStore* doc)
-      : input_(std::move(input)), core_(plan, doc) {
-    schema_ = JoinOutputSchema(*input_->schema(), *core_.emit_schema(),
-                               plan->variant(),
-                               plan->nest_as().empty() ? plan->nav_emit().prefix
-                                                       : plan->nest_as());
-    order_ = input_->order();
-  }
-  std::string label() const override {
-    return "Navigate_phi[" + core_.plan()->left_attr() + "]";
-  }
-  std::vector<PhysicalOperator*> children() const override {
-    return {input_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kNavigate; }
-  // Each input tuple expands into consecutive outputs, so the input's order
-  // survives for the longest key prefix over carried-over input attributes.
-  OrderDescriptor ProvableOrder() const override {
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input_->order().keys()) {
-      if (!ResolveAttrPath(*input_->schema(), k.attr).ok()) break;
-      kept.push_back(k);
-    }
-    return OrderDescriptor(std::move(kept));
-  }
-  // Navigation expands each input tuple into zero or more consecutive
-  // output tuples, so the input's order survives (non-strictly) for keys
-  // that refer to carried-over input attributes.
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    for (const OrderKey& k : order.keys()) {
-      if (!ResolveAttrPath(*input_->schema(), k.attr).ok()) return false;
-    }
-    if (!input_->TryAdoptOrder(order)) return false;
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override {
-    ULOAD_RETURN_NOT_OK(core_.BindInput(*input_->schema()));
-    pending_.clear();
-    return input_->Open();
-  }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    TupleBatch out = NewBatch();
-    while (!out.full()) {
-      if (!pending_.empty()) {
-        out.Add(std::move(pending_.front()));
-        pending_.pop_front();
-        continue;
-      }
-      ULOAD_ASSIGN_OR_RETURN(std::optional<Tuple> t, input_->NextTuple());
-      if (!t.has_value()) break;
-      ULOAD_RETURN_NOT_OK(core_.Expand(*t, &pending_));
-    }
-    if (out.empty()) return std::optional<TupleBatch>();
-    return std::optional<TupleBatch>(std::move(out));
-  }
-  void CloseImpl() override { input_->Close(); }
-
- private:
-  PhysicalPtr input_;
-  NavigationCore core_;
-  std::deque<Tuple> pending_;
-};
-
-// --- Rename (metadata-only) --------------------------------------------------
-
-class RenamePhys : public PhysBase {
- public:
-  RenamePhys(PhysicalPtr input, const std::string& prefix)
-      : input_(std::move(input)), prefix_(prefix) {
-    schema_ = PrefixedSchema(*input_->schema(), prefix);
-    // A rename keeps tuple order; top-level order keys survive under their
-    // prefixed names.
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input_->order().keys()) {
-      if (k.attr.find('.') != std::string::npos) break;
-      kept.push_back(OrderKey{prefix_ + k.attr, k.ascending});
-    }
-    order_ = OrderDescriptor(std::move(kept));
-  }
-  std::string label() const override { return "Rename_phi"; }
-  std::vector<PhysicalOperator*> children() const override {
-    return {input_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kRename; }
-  // Recompute the constructor's key translation from the input's current
-  // order: top-level keys survive under their prefixed names.
-  OrderDescriptor ProvableOrder() const override {
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input_->order().keys()) {
-      if (k.attr.find('.') != std::string::npos) break;
-      kept.push_back(OrderKey{prefix_ + k.attr, k.ascending});
-    }
-    return OrderDescriptor(std::move(kept));
-  }
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    // Strip the prefix off every key and ask the input.
-    std::vector<OrderKey> translated;
-    for (const OrderKey& k : order.keys()) {
-      if (k.attr.find('.') != std::string::npos) return false;
-      if (k.attr.compare(0, prefix_.size(), prefix_) != 0) return false;
-      translated.push_back(
-          OrderKey{k.attr.substr(prefix_.size()), k.ascending});
-    }
-    if (!input_->TryAdoptOrder(OrderDescriptor(std::move(translated)))) {
-      return false;
-    }
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override { return input_->Open(); }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> b, input_->NextBatch());
-    if (b.has_value()) b->set_schema(schema_);
-    return b;
-  }
-  void CloseImpl() override { input_->Close(); }
-
- private:
-  PhysicalPtr input_;
-  std::string prefix_;
-};
-
-// --- Retype (metadata-only) --------------------------------------------------
-
-// Re-tags the stream with a structurally identical schema (the rewriter's
-// view-schema stamp). Order descriptors name attributes, so the input's
-// advertised order carries over with its key names translated positionally
-// old-schema → new-schema; adoption requests translate the other way.
-class RetypePhys : public PhysBase {
- public:
-  static Result<PhysicalPtr> Make(PhysicalPtr input, SchemaPtr schema) {
-    ULOAD_RETURN_NOT_OK(CheckSameShape(*input->schema(), *schema));
-    auto p = std::unique_ptr<RetypePhys>(new RetypePhys());
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input->order().keys()) {
-      int idx = input->schema()->IndexOf(k.attr);
-      if (idx < 0 || schema->attr(idx).is_collection) break;
-      kept.push_back(OrderKey{schema->attr(idx).name, k.ascending});
-    }
-    p->order_ = OrderDescriptor(std::move(kept));
-    p->schema_ = std::move(schema);
-    p->input_ = std::move(input);
-    return PhysicalPtr(std::move(p));
-  }
-  std::string label() const override { return "Retype_phi"; }
-  std::vector<PhysicalOperator*> children() const override {
-    return {input_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kRetype; }
-  // Recompute the constructor's positional key translation from the input's
-  // current order: old-schema names map to new-schema names by index.
-  OrderDescriptor ProvableOrder() const override {
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input_->order().keys()) {
-      int idx = input_->schema()->IndexOf(k.attr);
-      if (idx < 0 || schema_->attr(idx).is_collection) break;
-      kept.push_back(OrderKey{schema_->attr(idx).name, k.ascending});
-    }
-    return OrderDescriptor(std::move(kept));
-  }
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    std::vector<OrderKey> translated;
-    for (const OrderKey& k : order.keys()) {
-      int idx = schema_->IndexOf(k.attr);
-      if (idx < 0 || schema_->attr(idx).is_collection) return false;
-      translated.push_back(
-          OrderKey{input_->schema()->attr(idx).name, k.ascending});
-    }
-    if (!input_->TryAdoptOrder(OrderDescriptor(std::move(translated)))) {
-      return false;
-    }
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override { return input_->Open(); }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> b, input_->NextBatch());
-    if (b.has_value()) b->set_schema(schema_);
-    return b;
-  }
-  void CloseImpl() override { input_->Close(); }
-
- private:
-  RetypePhys() = default;
-  PhysicalPtr input_;
-};
-
 // --- Compiler ----------------------------------------------------------------
 
 class Compiler {
  public:
-  Compiler(const EvalContext& ctx, size_t thread_budget, bool allow_unordered,
-           bool fuse)
+  Compiler(const EvalContext& ctx, size_t thread_budget, bool allow_unordered)
       : ctx_(ctx),
         thread_budget_(thread_budget == 0 ? 1 : thread_budget),
-        allow_unordered_(allow_unordered),
-        fuse_(fuse) {}
+        allow_unordered_(allow_unordered) {}
 
   Result<PhysicalPtr> Compile(const PlanPtr& plan) {
     // Keep the logical plan alive for operators that reference it.
@@ -1528,9 +1272,9 @@ class Compiler {
   // descendant attribute, so ExchangeMerge reproduces the serial engine's
   // output exactly; when this join is the plan root and the caller waived
   // order, ExchangeProduce collects in arrival order instead. Returns
-  // nullptr when the shape or the sizes are not eligible.
-  Result<PhysicalPtr> TryParallelStructuralJoin(const LogicalPlan& p,
-                                                int anc_idx, int desc_idx) {
+  // nullptr when the shape, the sizes or the join attributes are not
+  // eligible.
+  Result<PhysicalPtr> TryParallelStructuralJoin(const LogicalPlan& p) {
     if (in_worker_ || thread_budget_ < 2) return PhysicalPtr();
     const LogicalPlan* anc_leaf = SelectChainLeaf(*p.left());
     const LogicalPlan* desc_leaf = SelectChainLeaf(*p.right());
@@ -1544,6 +1288,7 @@ class Compiler {
     size_t n = ChooseWorkerCount(dsize, thread_budget_);
     if (n < 2) return PhysicalPtr();
     std::vector<PhysicalPtr> workers;
+    size_t mark = obligations_.size();
     EnterPartition(desc_leaf, n);
     for (size_t w = 0; w < n; ++w) {
       part_ = w;
@@ -1553,10 +1298,17 @@ class Compiler {
         LeavePartition();
         return !l.ok() ? l.status() : r.status();
       }
+      std::optional<std::pair<int, int>> cols = JoinColumns(p, **l, **r);
+      if (!cols) {
+        LeavePartition();
+        obligations_.resize(mark);
+        return PhysicalPtr();
+      }
       PhysicalPtr anc = EnsureOrder(std::move(*l), p.left_attr());
       PhysicalPtr desc = EnsureOrder(std::move(*r), p.right_attr());
       workers.push_back(std::make_unique<StackTreeDescPhys>(
-          std::move(anc), std::move(desc), anc_idx, desc_idx, p.axis()));
+          std::move(anc), std::move(desc), cols->first, cols->second,
+          p.axis()));
     }
     LeavePartition();
     if (allow_unordered_ && &p == root_) {
@@ -1567,22 +1319,34 @@ class Compiler {
         std::make_unique<ExchangeMergePhys>(std::move(workers)));
   }
 
-  // True when the logical operator is a non-breaking chain member the fused
-  // pipeline can run inline: Select, non-dedup Project (first-wins dedup
-  // buffers a seen-set — a breaker), Navigate with a document attached,
-  // Rename, Retype. Everything else — sorts, joins (build side or StackTree
-  // buffering), Product/Union fan-in, exchanges — breaks the pipeline.
-  bool Fusable(const LogicalPlan& p) const {
+  // Top-level field indexes of a structural join's attributes on its
+  // compiled children; nullopt when either is nested or unresolved (the
+  // streaming joins need top-level ids, the evaluator handles the rest).
+  static std::optional<std::pair<int, int>> JoinColumns(
+      const LogicalPlan& p, const PhysicalOperator& l,
+      const PhysicalOperator& r) {
+    auto lres = ResolveAttrPath(*l.schema(), p.left_attr());
+    auto rres = ResolveAttrPath(*r.schema(), p.right_attr());
+    if (!lres.ok() || !rres.ok() || lres->size() != 1 || rres->size() != 1) {
+      return std::nullopt;
+    }
+    return std::make_pair((*lres)[0], (*rres)[0]);
+  }
+
+  // True when the logical operator is a non-breaking chain member, which
+  // compiles only as a fused step: Select, non-dedup Project (first-wins
+  // dedup buffers a seen-set — a breaker), Navigate, Rename, Retype.
+  // Everything else — sorts, joins (build side or StackTree buffering),
+  // Product/Union fan-in, exchanges — breaks the pipeline.
+  static bool Fusable(const LogicalPlan& p) {
     switch (p.op()) {
       case PlanOp::kSelect:
-        return true;
-      case PlanOp::kProject:
-        return !p.dedup();
       case PlanOp::kNavigate:
-        return ctx_.document != nullptr;
       case PlanOp::kPrefixNames:
       case PlanOp::kRetype:
         return true;
+      case PlanOp::kProject:
+        return !p.dedup();
       default:
         return false;
     }
@@ -1590,14 +1354,12 @@ class Compiler {
 
   // Compilation entry at a pipeline boundary: collapses the maximal
   // non-breaking chain rooted at `p` into one FusedPipeline_φ running a
-  // single tuple loop (exec/fusion.h). Non-partitioned scans, streaming
-  // index bindings and Unit become inline sources (their operator boundary
-  // is elided too); anything else — breakers, partitioned scan leaves —
-  // stays an operator source underneath the fused chain. Chains of one step
-  // over an operator source gain nothing and compile classically, as does
-  // everything when fusion is off.
+  // single tuple loop (exec/fusion.h). Scans (a worker's partitioned slice
+  // included), streaming index bindings and Unit become inline sources —
+  // their operator boundary is elided too; any other source is a breaker and
+  // stays an operator underneath the fused chain. A node that heads no chain
+  // compiles through Rec.
   Result<PhysicalPtr> RecFuse(const LogicalPlan& p) {
-    if (!fuse_) return Rec(p);
     std::vector<const LogicalPlan*> chain;  // top -> bottom
     const LogicalPlan* cur = &p;
     while (Fusable(*cur)) {
@@ -1607,22 +1369,29 @@ class Compiler {
     if (chain.empty()) return Rec(p);
 
     FusedPipelineBuilder b;
-    bool inline_src = false;
-    if (cur->op() == PlanOp::kScan && !(in_worker_ && part_leaf_ == cur)) {
+    if (cur->op() == PlanOp::kScan) {
+      // A worker's partitioned leaf reads its slice and keeps the
+      // ParallelScan_φ member label.
+      size_t part = 0;
+      size_t nparts = 1;
+      std::string scan = "Scan_phi(" + cur->relation();
+      if (in_worker_ && part_leaf_ == cur) {
+        part = part_;
+        nparts = nparts_;
+        scan = "ParallelScan_phi(" + cur->relation() + " " +
+               std::to_string(part + 1) + "/" + std::to_string(nparts);
+      }
       auto vit = ctx_.views.find(cur->relation());
       if (vit != ctx_.views.end() &&
           vit->second->virtual_store() != nullptr) {
-        b.SourceColumnar(vit->second,
-                         "ColumnarScan_phi(" + cur->relation() + ")");
-        inline_src = true;
+        b.SourceColumnar(vit->second, "Columnar" + scan + ")", part, nparts);
       } else {
         auto it = ctx_.relations.find(cur->relation());
         if (it == ctx_.relations.end()) {
           return Status::NotFound("relation '" + cur->relation() +
                                   "' unbound");
         }
-        b.SourceRelation(it->second, "Scan_phi(" + cur->relation() + ")");
-        inline_src = true;
+        b.SourceRelation(it->second, scan + ")", part, nparts);
       }
     } else if (cur->op() == PlanOp::kIndexScan && ctx_.index_bind) {
       ULOAD_ASSIGN_OR_RETURN(IndexBinding bind,
@@ -1630,15 +1399,11 @@ class Compiler {
                                              cur->bindings()));
       b.SourceRows(bind.data, std::move(bind.rows),
                    "IndexScan_phi(" + cur->relation() + ")");
-      inline_src = true;
     } else if (cur->op() == PlanOp::kUnit) {
       NestedRelation unit(Schema::Make({}));
       unit.Add(Tuple{});
       b.SourceOwnedRelation(std::move(unit), "Unit_phi");
-      inline_src = true;
-    }
-    if (!inline_src) {
-      if (chain.size() < 2) return Rec(p);
+    } else {
       ULOAD_ASSIGN_OR_RETURN(PhysicalPtr src, Rec(*cur));
       b.SourceOperator(std::move(src));
     }
@@ -1668,6 +1433,9 @@ class Compiler {
   }
 
   Result<PhysicalPtr> Rec(const LogicalPlan& p) {
+    if (Fusable(p)) {
+      return Status::Internal("chain operator outside a fused pipeline");
+    }
     switch (p.op()) {
       case PlanOp::kScan: {
         // Virtual column-backed extents (storage/store.h) have no
@@ -1713,17 +1481,10 @@ class Compiler {
             std::move(data), "IndexLookup_phi(" + p.relation() + ")",
             OrderDescriptor()));
       }
-      case PlanOp::kSelect: {
-        // Reached only when this node did not fuse (chain too short or a
-        // partitioned leaf below); the subtree below may still hold a
-        // fusable chain, so re-enter through RecFuse.
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return PhysicalPtr(
-            std::make_unique<SelectPhys>(std::move(in), p.predicate()));
-      }
       case PlanOp::kProject: {
+        // Dedup only: plain projection is a fused step (rejected above).
         ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return ProjectPhys::Make(std::move(in), p.attrs(), p.dedup());
+        return ProjectPhys::Make(std::move(in), p.attrs());
       }
       case PlanOp::kProduct: {
         ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, RecFuse(*p.left()));
@@ -1742,52 +1503,38 @@ class Compiler {
         // Streaming StackTree for structural joins on top-level attrs:
         // StackTreeDesc (descendant-ordered output, Exchange-parallelizable)
         // for inner joins, the ancestor-grouped StackTreeAnc for the
-        // semi/outer/nest variants. Nested join attributes fall back to the
-        // materializing evaluator.
-        auto lres = ResolveAttrPath(*SchemaOf(p.left()), p.left_attr());
-        auto rres = ResolveAttrPath(*SchemaOf(p.right()), p.right_attr());
-        if (lres.ok() && rres.ok() && lres->size() == 1 &&
-            rres->size() == 1) {
-          if (p.variant() == JoinVariant::kInner) {
-            ULOAD_ASSIGN_OR_RETURN(
-                PhysicalPtr par,
-                TryParallelStructuralJoin(p, (*lres)[0], (*rres)[0]));
-            if (par) return PhysicalPtr(std::move(par));
-          }
-          ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, RecFuse(*p.left()));
-          ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, RecFuse(*p.right()));
-          PhysicalPtr anc = EnsureOrder(std::move(l), p.left_attr());
-          PhysicalPtr desc = EnsureOrder(std::move(r), p.right_attr());
-          if (p.variant() == JoinVariant::kInner) {
-            return PhysicalPtr(std::make_unique<StackTreeDescPhys>(
-                std::move(anc), std::move(desc), (*lres)[0], (*rres)[0],
-                p.axis()));
-          }
-          return PhysicalPtr(std::make_unique<StackTreeVariantPhys>(
-              std::move(anc), std::move(desc), (*lres)[0], (*rres)[0],
-              p.axis(), p.variant(), p.nest_as()));
+        // semi/outer/nest variants. The join attributes resolve on the
+        // children compiled for real; nested ones fall back to the
+        // materializing evaluator, which discards those children and the
+        // obligations they recorded.
+        if (p.variant() == JoinVariant::kInner) {
+          ULOAD_ASSIGN_OR_RETURN(PhysicalPtr par, TryParallelStructuralJoin(p));
+          if (par) return PhysicalPtr(std::move(par));
         }
-        return Materialize(p, "StackTreeAnc_phi(materialized)");
+        size_t mark = obligations_.size();
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, RecFuse(*p.left()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, RecFuse(*p.right()));
+        std::optional<std::pair<int, int>> cols = JoinColumns(p, *l, *r);
+        if (!cols) {
+          obligations_.resize(mark);
+          return Materialize(p, "StackTreeAnc_phi(materialized)");
+        }
+        PhysicalPtr anc = EnsureOrder(std::move(l), p.left_attr());
+        PhysicalPtr desc = EnsureOrder(std::move(r), p.right_attr());
+        if (p.variant() == JoinVariant::kInner) {
+          return PhysicalPtr(std::make_unique<StackTreeDescPhys>(
+              std::move(anc), std::move(desc), cols->first, cols->second,
+              p.axis()));
+        }
+        return PhysicalPtr(std::make_unique<StackTreeVariantPhys>(
+            std::move(anc), std::move(desc), cols->first, cols->second,
+            p.axis(), p.variant(), p.nest_as()));
       }
       case PlanOp::kUnion: {
         ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, RecFuse(*p.left()));
         ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, RecFuse(*p.right()));
         return PhysicalPtr(
             std::make_unique<UnionPhys>(std::move(l), std::move(r)));
-      }
-      case PlanOp::kNavigate: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return PhysicalPtr(
-            std::make_unique<NavigatePhys>(std::move(in), &p, ctx_.document));
-      }
-      case PlanOp::kPrefixNames: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return PhysicalPtr(
-            std::make_unique<RenamePhys>(std::move(in), p.nest_as()));
-      }
-      case PlanOp::kRetype: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return RetypePhys::Make(std::move(in), p.retype_schema());
       }
       case PlanOp::kSortOp: {
         // Sort_φ enforcer with elision: skipped when the input's advertised
@@ -1824,27 +1571,18 @@ class Compiler {
         return Materialize(p, "Xml_phi(materialized)");
       case PlanOp::kDeriveParent:
         return Materialize(p, "DeriveParent_phi(materialized)");
+      case PlanOp::kSelect:
+      case PlanOp::kNavigate:
+      case PlanOp::kPrefixNames:
+      case PlanOp::kRetype:
+        break;  // fused steps, rejected above
     }
     return Status::Internal("unhandled plan operator");
-  }
-
-  // Output schema of a logical subtree, derived by compiling... to stay
-  // cheap, we compile the child twice only for structural joins; schema
-  // lookup goes through a temporary compilation of scans. The throwaway
-  // tree is discarded, so obligations recorded while probing must be
-  // dropped with it — they would dangle otherwise.
-  SchemaPtr SchemaOf(const PlanPtr& plan) {
-    size_t mark = obligations_.size();
-    auto phys = Rec(*plan);
-    obligations_.resize(mark);
-    if (!phys.ok()) return Schema::Make({});
-    return (*phys)->schema();
   }
 
   const EvalContext& ctx_;
   size_t thread_budget_;
   bool allow_unordered_;
-  bool fuse_;
   const LogicalPlan* root_ = nullptr;
   // Worker-pipeline compilation state: while set, the scan at `part_leaf_`
   // compiles into slice `part_` of `nparts_`, and no nested exchange is
@@ -1864,8 +1602,7 @@ Result<PhysicalPtr> CompilePhysicalPlan(const PlanPtr& plan,
                                         const EvalContext& ctx,
                                         ExecContext* exec) {
   Compiler compiler(ctx, exec == nullptr ? 1 : exec->thread_budget(),
-                    exec != nullptr && exec->allow_unordered_root(),
-                    exec == nullptr ? true : exec->fuse());
+                    exec != nullptr && exec->allow_unordered_root());
   ULOAD_ASSIGN_OR_RETURN(PhysicalPtr root, compiler.Compile(plan));
   if (exec != nullptr && exec->verify_plans()) {
     PhysicalVerifyOptions opts;

@@ -43,16 +43,12 @@ enum class PhysOpKind : uint8_t {
   kParallelScan,
   kIndexScan,
   kMaterial,
-  kSelect,
   kProject,
   kSort,
   kStructuralJoin,  // StackTreeDesc and the StackTreeAnc variants
   kValueJoin,
   kProduct,
   kUnion,
-  kNavigate,
-  kRename,
-  kRetype,
   kExchangeMerge,
   kExchangeProduce,
   kFusedPipeline,
@@ -83,7 +79,7 @@ class PhysicalOperator {
   virtual const OrderDescriptor& order() const = 0;
 
   // One-line operator rendering without indentation or children, e.g.
-  // "Select_phi[n_Val contains-word 'Smith']".
+  // "StackTreeDesc_phi[p_ID ancestor-of n_ID]".
   virtual std::string label() const = 0;
   // Input operators in display order.
   virtual std::vector<PhysicalOperator*> children() const { return {}; }

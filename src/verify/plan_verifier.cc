@@ -371,7 +371,7 @@ Status PhysError(const std::string& path, const std::string& msg) {
 // schemas and order descriptors. Each elided operator boundary is recorded
 // on the fused operator as a step with its input/output schema and order;
 // this re-derives every step's output schema from its input schema with the
-// shared derivations the standalone operators use, re-propagates the order
+// shared derivations the logical verifier uses, re-propagates the order
 // descriptors forward from the source, and checks both against what the
 // fused operator recorded and finally advertises. A mis-fused plan — steps
 // composed in the wrong order, a boundary schema that drifted, an order the
@@ -477,8 +477,12 @@ Status WalkPhysical(const PhysicalOperator& op, const std::string& parent,
   bool is_exchange = kind == PhysOpKind::kExchangeMerge ||
                      kind == PhysOpKind::kExchangeProduce;
 
-  // (3) Structural / parallel placement rules.
-  if (kind == PhysOpKind::kParallelScan && !under_exchange) {
+  // (3) Structural / parallel placement rules. A fused pipeline whose inline
+  // source reads one slice of a partitioned scan places like the scan.
+  bool sliced = kind == PhysOpKind::kParallelScan ||
+                (kind == PhysOpKind::kFusedPipeline &&
+                 static_cast<const FusedPipelinePhys&>(op).source_nparts() > 1);
+  if (sliced && !under_exchange) {
     return PhysError(path,
                      "ParallelScan_phi outside an exchange worker pipeline "
                      "would silently drop every other partition");

@@ -26,8 +26,9 @@
 //
 //  (3) Structural/parallel placement rules (VerifyPhysicalPlan):
 //      ExchangeMerge_φ only above order-producing worker pipelines,
-//      ParallelScan_φ only inside an exchange's worker pipelines (a
-//      partitioned scan anywhere else silently drops rows), no
+//      ParallelScan_φ, and a FusedPipeline_φ reading a scan slice, only
+//      inside an exchange's worker pipelines (a partitioned scan anywhere
+//      else silently drops rows), no
 //      order-sensitive operator above ExchangeProduce_φ, and
 //      ExchangeProduce_φ at all only when the consumer waived result order
 //      (ExecContext::allow_unordered_root), and no exchange nested inside

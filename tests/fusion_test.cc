@@ -1,11 +1,11 @@
 // Pipeline fusion tests (exec/fusion.h): every pipeline-breaker kind must
 // split the fused chain; fused execution must be byte-identical to the
-// classic one-operator-per-node tree; the static verifier must reject a
-// seeded mis-fused plan (corrupted boundary schema / advertised order); the
-// Explain surface must render the fused chain and DescribeAnalyze must
-// still attribute tuples to the elided chain members; and the governor —
-// deadline, cancellation, fault injection at interior member sites — must
-// reach through the fused loop.
+// materializing evaluator; exchange workers must fuse their partitioned scan
+// slices; the static verifier must reject a seeded mis-fused plan (corrupted
+// boundary schema / advertised order); the Explain surface must render the
+// fused chain and DescribeAnalyze must still attribute tuples to the elided
+// chain members; and the governor — deadline, cancellation, fault injection
+// at interior member sites — must reach through the fused loop.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,8 +15,11 @@
 #include "eval/tag_collections.h"
 #include "exec/fusion.h"
 #include "exec/physical.h"
+#include "storage/columnar/columnar_document.h"
+#include "storage/store.h"
 #include "verify/plan_verifier.h"
 #include "workload/xmark.h"
+#include "xam/xam_parser.h"
 
 namespace uload {
 namespace {
@@ -47,8 +50,9 @@ class FusionTest : public ::testing::Test {
         JoinVariant::kLeftOuter);
   }
 
-  // Executes `plan` with fusion on and off; both must succeed and agree
-  // tuple for tuple. Returns the fused tree's Describe().
+  // Executes `plan` through the fused compiler and through the
+  // materializing evaluator (the oracle); both must succeed and agree tuple
+  // for tuple. Returns the compiled tree's Describe().
   std::string CheckFusedAgainstUnfused(const PlanPtr& plan) {
     ExecContext fused_exec;
     auto fused_phys = CompilePhysicalPlan(plan, ctx_, &fused_exec);
@@ -57,20 +61,12 @@ class FusionTest : public ::testing::Test {
     auto fused = ExecutePhysical(fused_phys->get());
     EXPECT_TRUE(fused.ok()) << fused.status().ToString();
 
-    ExecContext plain_exec;
-    plain_exec.set_fuse(false);
-    auto plain_phys = CompilePhysicalPlan(plan, ctx_, &plain_exec);
-    EXPECT_TRUE(plain_phys.ok()) << plain_phys.status().ToString();
-    if (!plain_phys.ok()) return std::string();
-    EXPECT_EQ((*plain_phys)->Describe().find("FusedPipeline_phi"),
-              std::string::npos)
-        << (*plain_phys)->Describe();
-    auto plain = ExecutePhysical(plain_phys->get());
-    EXPECT_TRUE(plain.ok()) << plain.status().ToString();
-    if (fused.ok() && plain.ok()) {
-      EXPECT_TRUE(fused->Equals(*plain))
-          << "fused rows=" << fused->size() << " unfused rows="
-          << plain->size() << "\n" << (*fused_phys)->Describe();
+    auto oracle = Evaluate(*plan, ctx_);
+    EXPECT_TRUE(oracle.ok()) << oracle.status().ToString();
+    if (fused.ok() && oracle.ok()) {
+      EXPECT_TRUE(fused->Equals(*oracle))
+          << "fused rows=" << fused->size() << " evaluator rows="
+          << oracle->size() << "\n" << (*fused_phys)->Describe();
     }
     return (*fused_phys)->Describe();
   }
@@ -138,8 +134,7 @@ TEST_F(FusionTest, DescribeAnalyzeAttributesTuplesToChainMembers) {
   ASSERT_GT(rel->size(), 0);
   std::string analyzed = (*phys)->DescribeAnalyze();
   // Each elided member renders its own attribution line with its original
-  // label and a per-member tuple count equal to what the standalone
-  // operator would have produced.
+  // label and a per-member tuple count (the tuples flowing out of it).
   EXPECT_NE(analyzed.find("~ Scan_phi(names)"), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("~ Select_phi"), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("~ Project_phi"), std::string::npos) << analyzed;
@@ -236,6 +231,50 @@ TEST_F(FusionTest, ExchangeBoundaryBreaksTheChain) {
   ASSERT_TRUE(phys.ok()) << phys.status().ToString();
   std::string desc = (*phys)->Describe();
   EXPECT_NE(desc.find("ExchangeMerge_phi"), std::string::npos) << desc;
+  // Each worker's descendant chain fuses over its scan slice.
+  EXPECT_NE(desc.find("FusedPipeline_phi[ParallelScan_phi(names 1/"),
+            std::string::npos)
+      << desc;
+  auto parallel = ExecutePhysical(phys->get());
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  EXPECT_TRUE(serial->Equals(*parallel));
+}
+
+TEST_F(FusionTest, ColumnarExchangeWorkersFuseTheirSlices) {
+  // The same join over virtual column-backed extents: each worker's chain
+  // reads its ColumnarParallelScan_φ slice inline.
+  ColumnarDocument col = ColumnarDocument::FromDocument(doc_);
+  auto people_def =
+      ParseXam("xam\nnode p label=person id=s\nedge top // j p\n");
+  auto names_def =
+      ParseXam("xam\nnode n label=name id=s val\nedge top // j n\n");
+  ASSERT_TRUE(people_def.ok() && names_def.ok());
+  auto people = MaterializedView::Materialize("vpeople", *people_def, col);
+  auto names = MaterializedView::Materialize("vnames", *names_def, col);
+  ASSERT_TRUE(people.ok()) << people.status().ToString();
+  ASSERT_TRUE(names.ok()) << names.status().ToString();
+  ASSERT_NE(names->virtual_store(), nullptr);
+  EvalContext ctx;
+  ctx.views = {{"vpeople", &*people}, {"vnames", &*names}};
+  ctx.document = &col;
+  PlanPtr plan = LogicalPlan::StructuralJoin(
+      LogicalPlan::Scan("vpeople"),
+      LogicalPlan::Select(LogicalPlan::Scan("vnames"),
+                          Predicate::NotNull("n_Val")),
+      "p_ID", Axis::kDescendant, "n_ID", JoinVariant::kInner);
+  ExecContext serial_exec;
+  auto serial = ExecutePhysicalPlan(plan, ctx, &serial_exec);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_GT(serial->size(), 0);
+  ExecContext exec;
+  exec.set_thread_budget(4);
+  auto phys = CompilePhysicalPlan(plan, ctx, &exec);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  std::string desc = (*phys)->Describe();
+  EXPECT_NE(desc.find("ExchangeMerge_phi"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("FusedPipeline_phi[ColumnarParallelScan_phi("),
+            std::string::npos)
+      << desc;
   auto parallel = ExecutePhysical(phys->get());
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   EXPECT_TRUE(serial->Equals(*parallel));

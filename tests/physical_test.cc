@@ -150,6 +150,38 @@ TEST_F(PhysicalTest, RewrittenPlansExecutePhysically) {
   EXPECT_TRUE(logical->EqualsUnordered(*physical));
 }
 
+TEST_F(PhysicalTest, StructuralJoinCompilesEachChildOnce) {
+  // The join attributes resolve on the children compiled for real, so an
+  // evaluator-fallback child (Difference) over an index lookup is evaluated
+  // once per compile, not once more just to learn its schema.
+  int lookups = 0;
+  EvalContext ctx = ctx_;
+  ctx.index_lookup =
+      [&](const std::string&,
+          const std::vector<std::pair<std::string, AtomicValue>>&)
+      -> Result<NestedRelation> {
+    ++lookups;
+    return names_;
+  };
+  PlanPtr smiths = LogicalPlan::Select(
+      LogicalPlan::Scan("names"),
+      Predicate::CompareConst("n_Val", Comparator::kContainsWord,
+                              AtomicValue::String("Smith")));
+  PlanPtr join = LogicalPlan::StructuralJoin(
+      LogicalPlan::Scan("people"),
+      LogicalPlan::Difference(LogicalPlan::IndexScan("names", {}), smiths),
+      "p_ID", Axis::kDescendant, "n_ID", JoinVariant::kInner);
+  auto phys = CompilePhysicalPlan(join, ctx);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  EXPECT_EQ(lookups, 1);
+  auto physical = ExecutePhysical(phys->get());
+  auto logical = Evaluate(*join, ctx);
+  ASSERT_TRUE(physical.ok()) << physical.status().ToString();
+  ASSERT_TRUE(logical.ok()) << logical.status().ToString();
+  EXPECT_GT(physical->size(), 0);
+  EXPECT_TRUE(logical->EqualsUnordered(*physical));
+}
+
 TEST_F(PhysicalTest, ReopenIsRepeatable) {
   PlanPtr plan = LogicalPlan::Select(
       LogicalPlan::Scan("people"),

@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "eval/tag_collections.h"
 #include "exec/exchange.h"
+#include "exec/fusion.h"
 #include "exec/physical.h"
 #include "verify/batch_validator.h"
 #include "verify/plan_verifier.h"
@@ -158,6 +159,21 @@ TEST_F(PlanVerifierTest, BareParallelScanIsRejected) {
   // partition's rows.
   ParallelScanPhys scan(&names_, "names", /*part=*/0, /*nparts=*/2);
   Status st = VerifyPhysicalPlan(scan);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("outside an exchange"), std::string::npos)
+      << st.ToString();
+}
+
+TEST_F(PlanVerifierTest, SlicedFusedPipelineOutsideExchangeIsRejected) {
+  // A fused chain whose inline source reads one scan slice drops the other
+  // slices' rows just like a bare partitioned scan.
+  FusedPipelineBuilder b;
+  b.SourceRelation(&names_, "ParallelScan_phi(names 1/2)", /*part=*/0,
+                   /*nparts=*/2);
+  ASSERT_TRUE(b.AddSelect(Predicate::NotNull("n_ID")).ok());
+  auto fused = b.Build();
+  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
+  Status st = VerifyPhysicalPlan(**fused);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("outside an exchange"), std::string::npos)
       << st.ToString();
